@@ -60,9 +60,6 @@ pub(crate) static CLASSES: VecPool<usize> = VecPool::new();
 /// Rank-ordering scratch for the windowed Top-K assignment.
 pub(crate) static ORDER: VecPool<usize> = VecPool::new();
 
-/// Localized input scratch spines for the parallel executor.
-pub(crate) static LOCALS: VecPool<Tensor> = VecPool::new();
-
 /// Returns a consumed report's heap spines to the runtime pools: the
 /// record and device vectors, any guard repair records, and (via the
 /// tensor arena) the output tensor's backing page. Call this from a

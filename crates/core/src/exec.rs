@@ -169,66 +169,91 @@ pub fn compute_tasks_on(
             let shape = kernel.shape();
             let localize = !shape.global_inputs;
             let (in_rows, in_cols) = inputs[0].shape();
+            let footprint = |tile: Tile| {
+                shmt_kernels::npu::extended_region(
+                    tile,
+                    shape.halo,
+                    shape.block_align,
+                    shape.full_rows,
+                    in_rows,
+                    in_cols,
+                )
+            };
+            // How many claimants run at once depends on interleaving, and
+            // so would the tensor arena's high-water mark. Pre-size it for
+            // all `n_claims` at once, and keep every result until
+            // stitching. A warm call then never misses the pool.
+            let arity = inputs.len();
+            let per_claim = match (localize, tasks.iter().any(|t| t.npu)) {
+                // The full-shape scratch.
+                (false, _) => 1,
+                // Localized inputs and the kernel scratch.
+                (true, false) => arity + 1,
+                // Plus what the NPU path takes for itself.
+                (true, true) => arity + 1 + shmt_kernels::npu::scratch_pages(arity),
+            };
+            shmt_tensor::arena::reserve_f32(
+                tasks.iter().map(|t| t.tile.rows * t.tile.cols),
+                tasks.iter().map(|t| {
+                    if localize {
+                        let ext = footprint(t.tile);
+                        ext.rows * ext.cols
+                    } else {
+                        out_rows * out_cols
+                    }
+                }),
+                n_claims * per_claim,
+            );
             pool.scope_fn(n_claims, &|| {
                 let mut full_scratch: Option<Tensor> = None;
-                let mut locals: Vec<Tensor> = crate::arena::LOCALS.take();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(task) = tasks.get(i) else { break };
                     let tile = task.tile;
-                    let result =
-                        if localize {
-                            let ext = shmt_kernels::npu::extended_region(
-                                tile,
-                                shape.halo,
-                                shape.block_align,
-                                shape.full_rows,
-                                in_rows,
-                                in_cols,
-                            );
-                            locals.clear();
-                            locals.extend(inputs.iter().map(|t| {
-                                t.view(ext.row0, ext.col0, ext.rows, ext.cols).to_tensor()
-                            }));
-                            let mut local_refs: [&Tensor; MAX_KERNEL_ARITY] =
-                                [inputs[0]; MAX_KERNEL_ARITY];
-                            for (slot, t) in local_refs.iter_mut().zip(&locals) {
-                                *slot = t;
-                            }
-                            let local_tile = Tile {
-                                index: tile.index,
-                                row0: tile.row0 - ext.row0,
-                                col0: tile.col0 - ext.col0,
-                                rows: tile.rows,
-                                cols: tile.cols,
-                            };
-                            let mut scratch = Tensor::zeros(ext.rows, ext.cols);
-                            run_one(
-                                kernel,
-                                &local_refs[..locals.len()],
-                                ComputeTask {
-                                    tile: local_tile,
-                                    npu: task.npu,
-                                },
-                                &mut scratch,
-                            );
-                            scratch
-                                .view(local_tile.row0, local_tile.col0, tile.rows, tile.cols)
-                                .to_tensor()
-                        } else {
-                            let scratch = full_scratch
-                                .get_or_insert_with(|| Tensor::zeros(out_rows, out_cols));
-                            run_one(kernel, inputs, *task, scratch);
-                            scratch
-                                .view(tile.row0, tile.col0, tile.rows, tile.cols)
-                                .to_tensor()
+                    let result = if localize {
+                        let ext = footprint(tile);
+                        let locals: [Option<Tensor>; MAX_KERNEL_ARITY] = std::array::from_fn(|k| {
+                            inputs
+                                .get(k)
+                                .map(|t| t.view(ext.row0, ext.col0, ext.rows, ext.cols).to_tensor())
+                        });
+                        let mut local_refs: [&Tensor; MAX_KERNEL_ARITY] =
+                            [inputs[0]; MAX_KERNEL_ARITY];
+                        for (slot, t) in local_refs.iter_mut().zip(locals.iter().flatten()) {
+                            *slot = t;
+                        }
+                        let local_tile = Tile {
+                            index: tile.index,
+                            row0: tile.row0 - ext.row0,
+                            col0: tile.col0 - ext.col0,
+                            rows: tile.rows,
+                            cols: tile.cols,
                         };
+                        let mut scratch = Tensor::zeros(ext.rows, ext.cols);
+                        run_one(
+                            kernel,
+                            &local_refs[..arity],
+                            ComputeTask {
+                                tile: local_tile,
+                                npu: task.npu,
+                            },
+                            &mut scratch,
+                        );
+                        scratch
+                            .view(local_tile.row0, local_tile.col0, tile.rows, tile.cols)
+                            .to_tensor()
+                    } else {
+                        let scratch =
+                            full_scratch.get_or_insert_with(|| Tensor::zeros(out_rows, out_cols));
+                        run_one(kernel, inputs, *task, scratch);
+                        scratch
+                            .view(tile.row0, tile.col0, tile.rows, tile.cols)
+                            .to_tensor()
+                    };
                     // SAFETY: `i` came from the shared cursor, so this
                     // claim is unique and in bounds (`tasks.get` checked).
                     unsafe { writer.write(i, result) };
                 }
-                locals.clear();
-                crate::arena::LOCALS.put(locals);
             });
             for (i, slot) in slots.iter_mut().enumerate() {
                 let result = slot.take().expect("claimed task deposited no result");

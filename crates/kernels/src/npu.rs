@@ -18,7 +18,7 @@
 //! criticality sampling (range + standard deviation, §3.5) is designed to
 //! detect and route away from the NPU.
 
-use shmt_tensor::quant::QuantParams;
+use shmt_tensor::quant::{round_code, QuantParams};
 use shmt_tensor::tile::Tile;
 use shmt_tensor::Tensor;
 
@@ -104,10 +104,10 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
     // Quantize-snap each input region: this is the int8 device buffer.
     // Kernels with native uint8 models take integer 8-bit image data
     // losslessly; everything else goes through the affine int8 cast. The
-    // extraction is fused with the range scan — each transferred page is
-    // touched once for both the copy and the cast-parameter derivation,
-    // then once more for the snap itself (the old path did copy, then a
-    // full min/max pass, then a second range scan inside `from_slice`).
+    // range scan runs on the fresh copy while it is in cache, and the
+    // snap follows (the old path did copy, then a full min/max pass, then
+    // a second range scan inside `from_slice`). Both the scan and the
+    // rounding vectorize.
     let native_u8 = kernel.npu_native_u8();
     assert!(inputs.len() <= MAX_ARITY, "kernel arity above MAX_ARITY");
     let mut snapped: [Option<Tensor>; MAX_ARITY] = [None, None, None, None];
@@ -118,7 +118,8 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
         // there, and `from_slice` falls back to the unit range.
         let (lo, hi) = range.unwrap_or((0.0, 0.0));
         if native_u8 && lo >= 0.0 && hi <= 255.0 {
-            local.map_inplace(|v| v.round());
+            // `round_code` is `f32::round` on [-0.0, 255] and NaN.
+            local.map_inplace(round_code);
         } else {
             let params = match range {
                 Some((lo, hi)) => QuantParams::from_range(lo, hi),
@@ -204,6 +205,15 @@ pub fn run_via_npu_quant<K: Kernel + ?Sized>(
 /// Maximum kernel arity the NPU path supports (enough for every paper
 /// benchmark); lets the snapped input buffers live in fixed stack arrays.
 const MAX_ARITY: usize = 4;
+
+/// The tensor-arena pages one [`run_via_npu_quant`] call on a
+/// tile-aggregated kernel with `arity` inputs takes, all of them the size
+/// of the tile's [`extended_region`]: one snapped copy per input and the
+/// produced tile. Executors pre-size the arena with this count so a warm
+/// NPU claim never misses the pool.
+pub fn scratch_pages(arity: usize) -> usize {
+    arity + 1
+}
 
 /// The tile expanded by its halo, aligned and clamped; `(row0, col0)` is the
 /// region origin in dataset coordinates.
@@ -333,9 +343,7 @@ fn publish_snapped_tile(
     for r in 0..tile.rows {
         let src = &local.row(local_tile.row0 + r)[local_tile.col0..local_tile.col0 + tile.cols];
         let dst = &mut out.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols];
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = params.snap(*s);
-        }
+        params.snap_into(src, dst);
     }
 }
 

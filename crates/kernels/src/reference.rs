@@ -498,16 +498,19 @@ pub fn gemm() -> Naive<Gemm> {
     fn npu(this: &Naive<Gemm>, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
         let qa = QuantParams::from_slice(inputs[0].as_slice());
         let qb = QuantParams::from_slice(inputs[1].as_slice());
-        let a = inputs[0].map(|v| qa.snap(v));
-        let b = inputs[1].map(|v| qb.snap(v));
+        let mut a = inputs[0].clone();
+        qa.snap_into(inputs[0].as_slice(), a.as_mut_slice());
+        let mut b = inputs[1].clone();
+        qb.snap_into(inputs[1].as_slice(), b.as_mut_slice());
         this.run_exact(&[&a, &b], tile, out);
-        let view = out.view(tile.row0, tile.col0, tile.rows, tile.cols);
-        let (lo, hi) = view.min_max();
+        let exact = out
+            .view(tile.row0, tile.col0, tile.rows, tile.cols)
+            .to_tensor();
+        let (lo, hi) = exact.min_max();
         let q = QuantParams::from_range(lo, hi);
-        for r in tile.row0..tile.row0 + tile.rows {
-            for v in &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols] {
-                *v = q.snap(*v);
-            }
+        for r in 0..tile.rows {
+            let dst = &mut out.row_mut(tile.row0 + r)[tile.col0..tile.col0 + tile.cols];
+            q.snap_into(exact.row(r), dst);
         }
     }
     Naive {

@@ -156,6 +156,45 @@ pub fn put_f32(mut page: Vec<f32>) {
     DROPPED.fetch_add(1, Ordering::Relaxed);
 }
 
+/// Pre-sizes the pool for a parallel phase whose page demand depends on
+/// how its workers interleave.
+///
+/// Afterwards every size class caches at least one page for each length
+/// in `held` (pages the phase keeps until it ends) plus `scratch_pages`
+/// pages if any length in `scratch` falls in that class (pages each of a
+/// bounded number of workers takes and returns while it runs). A phase
+/// that stays within that demand takes every page from cache whatever
+/// the interleaving, so whether it allocates depends only on its inputs.
+/// Only the shortfall is allocated; a warm pool is left as it is.
+pub fn reserve_f32(
+    held: impl IntoIterator<Item = usize>,
+    scratch: impl IntoIterator<Item = usize>,
+    scratch_pages: usize,
+) {
+    if !enabled() {
+        return;
+    }
+    let class = |len: usize| take_bucket(len).min(BUCKETS - 1);
+    let mut need = [0usize; BUCKETS];
+    for len in scratch.into_iter().filter(|&len| len > 0) {
+        need[class(len)] = scratch_pages;
+    }
+    for len in held.into_iter().filter(|&len| len > 0) {
+        need[class(len)] += 1;
+    }
+    let Ok(pool) = PAGE_POOL.lock() else { return };
+    for (n, stack) in need.iter_mut().zip(&pool.stacks) {
+        *n = n.saturating_sub(stack.len());
+    }
+    drop(pool);
+    for (b, &short) in need.iter().enumerate() {
+        for _ in 0..short {
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            put_f32(Vec::with_capacity(1usize << b));
+        }
+    }
+}
+
 /// A snapshot of the page pool's counters.
 pub fn stats() -> ArenaStats {
     let cached_bytes = PAGE_POOL.lock().map(|p| p.cached_bytes as u64).unwrap_or(0);
@@ -339,6 +378,26 @@ mod tests {
         let after = stats();
         assert!(after.hits + after.misses > before.hits + before.misses);
         assert!(after.recycled + after.dropped > before.recycled + before.dropped);
+    }
+
+    fn cached_pages(len: usize) -> usize {
+        PAGE_POOL.lock().unwrap().stacks[take_bucket(len)].len()
+    }
+
+    #[test]
+    fn reserve_tops_up_held_plus_scratch_per_class() {
+        // A size class (2^19 elements) no other test here uses. Two held
+        // pages, plus three scratch pages for the class: two scratch
+        // lengths in one class count once.
+        let len = 300_000;
+        reserve_f32([len, len + 1], [len + 2, len + 3], 3);
+        let cached = cached_pages(len);
+        assert!(cached >= 5, "reserved {cached} pages");
+        reserve_f32([len], [len], 3);
+        assert_eq!(cached_pages(len), cached, "a warm pool is left as it is");
+        for _ in 0..cached {
+            drop(take_f32(len));
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ mod error;
 pub mod gen;
 pub mod quant;
 pub mod rng;
+mod scan;
 mod tensor;
 pub mod tile;
 

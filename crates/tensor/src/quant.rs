@@ -67,13 +67,9 @@ impl QuantParams {
     /// NaN elements are ignored; an empty or all-NaN slice yields the unit
     /// interval `[0, 1]`.
     pub fn from_slice(values: &[f32]) -> Self {
-        let mut it = values.iter().copied().filter(|v| !v.is_nan());
-        match it.next() {
+        match crate::scan::min_max(std::iter::once(values)) {
             None => Self::from_range(0.0, 1.0),
-            Some(first) => {
-                let (lo, hi) = it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v)));
-                Self::from_range(lo, hi)
-            }
+            Some((lo, hi)) => Self::from_range(lo, hi),
         }
     }
 
@@ -90,8 +86,7 @@ impl QuantParams {
 
     /// Quantizes a single value.
     pub fn quantize(&self, x: f32) -> i8 {
-        let q = ((x - self.lo) / self.scale).round().clamp(0.0, 255.0);
-        (q - 128.0) as i8
+        code_of(self.lo, self.scale, x)
     }
 
     /// Dequantizes a single code.
@@ -99,10 +94,18 @@ impl QuantParams {
         self.lo + (f32::from(code) + 128.0) * self.scale
     }
 
-    /// Rounds a value to the nearest representable point of this grid
-    /// (quantize + dequantize in one step).
+    /// Rounds a value to the nearest representable point of this grid:
+    /// bit-identical to `dequantize(quantize(x))`.
+    ///
+    /// Because it has the semantics of a round trip through an `i8` code,
+    /// it is not quite the arithmetic of [`QuantParams::snap_slice`]. A
+    /// NaN becomes code 0 (the float-to-int cast saturates NaN to 0) and
+    /// snaps to `lo + 128·scale`, the middle of the grid. A grid index of
+    /// `-0.0` comes back as `+0.0`, which changes the sign of a zero
+    /// result when `lo` is `-0.0`. [`QuantParams::snap_into`] is the bulk
+    /// form with exactly these semantics.
     pub fn snap(&self, x: f32) -> f32 {
-        self.dequantize(self.quantize(x))
+        snap_of(self.lo, self.scale, x)
     }
 
     /// Quantizes a contiguous slice into `dst` — the bulk form of the Edge
@@ -118,8 +121,7 @@ impl QuantParams {
         assert_eq!(src.len(), dst.len(), "quantize_slice length mismatch");
         let (lo, scale) = (self.lo, self.scale);
         for (d, &x) in dst.iter_mut().zip(src) {
-            let q = ((x - lo) / scale).round().clamp(0.0, 255.0);
-            *d = (q - 128.0) as i8;
+            *d = code_of(lo, scale, x);
         }
     }
 
@@ -140,14 +142,111 @@ impl QuantParams {
         }
     }
 
-    /// Snaps every element of a slice to this grid in place — the bulk form
-    /// of [`QuantParams::snap`], bit-identical to the per-element calls.
+    /// Snaps every element of a slice to this grid in place: the Edge TPU
+    /// input cast, computed as `lo + round_code(y)·scale` for
+    /// `y = (v − lo) / scale` without going through an `i8` code.
+    ///
+    /// This is *not* bit-identical to per-element [`QuantParams::snap`]
+    /// calls. A NaN stays NaN here, where `snap` maps it to
+    /// `lo + 128·scale`. A grid index of `-0.0` (from
+    /// `y ∈ (−0.5, −0.0]`) keeps its sign here, so with `lo = −0.0` the
+    /// result is `-0.0` where `snap` gives `+0.0`. Every other value
+    /// agrees. Use [`QuantParams::snap_into`] for `snap`'s semantics.
     pub fn snap_slice(&self, values: &mut [f32]) {
         let (lo, scale) = (self.lo, self.scale);
         for v in values.iter_mut() {
-            let q = ((*v - lo) / scale).round().clamp(0.0, 255.0);
-            *v = lo + q * scale;
+            *v = lo + round_code((*v - lo) / scale) * scale;
         }
+    }
+
+    /// Snaps `src` to this grid into `dst`: the bulk form of
+    /// [`QuantParams::snap`], bit-identical to calling it per element
+    /// (NaN snaps to `lo + 128·scale`, a `-0.0` grid index to `+0.0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` and `dst` have different lengths.
+    pub fn snap_into(&self, src: &[f32], dst: &mut [f32]) {
+        assert_eq!(src.len(), dst.len(), "snap_into length mismatch");
+        let (lo, scale) = (self.lo, self.scale);
+        for (d, &x) in dst.iter_mut().zip(src) {
+            *d = snap_of(lo, scale, x);
+        }
+    }
+}
+
+/// The `i8` code of `x` on the grid `(lo, scale)`. A NaN index stays NaN
+/// through `round_code`, and the saturating cast sends it to code 0.
+#[inline(always)]
+fn code_of(lo: f32, scale: f32, x: f32) -> i8 {
+    (round_code((x - lo) / scale) - 128.0) as i8
+}
+
+/// `x` snapped to the grid `(lo, scale)` with the semantics of the `i8`
+/// code round trip, but without the saturating cast, so slice loops over
+/// it vectorize.
+#[inline(always)]
+fn snap_of(lo: f32, scale: f32, x: f32) -> f32 {
+    let y = (x - lo) / scale;
+    // NaN is code 0, grid index 128. `abs` turns a `-0.0` index into the
+    // `+0.0` the code round trip produces; every other index is positive.
+    let q = if y.is_nan() {
+        128.0
+    } else {
+        round_code(y).abs()
+    };
+    lo + q * scale
+}
+
+/// `2^23`: adding it to an `f32` in `[0, 2^23)` and subtracting it again
+/// rounds to the nearest integer, ties to even.
+const ROUND_BIAS: f32 = 8_388_608.0;
+
+/// The int8 grid index of `y`: rounded half away from zero, then clamped
+/// to `[0, 255]`.
+///
+/// Bit-identical to `y.round().clamp(0.0, 255.0)` for every `y`: the
+/// `-0.0` that order yields for `y ∈ (−0.5, −0.0]` is kept, and a NaN
+/// comes back as the same NaN, quieted the way `roundf` quiets it. On
+/// `[−0.0, 255]` the clamp is a no-op, so this is also `f32::round` there.
+///
+/// The arithmetic is float-only so that slice loops over it vectorize.
+/// `f32::round` is a libm `roundf` call on the baseline x86-64 target, and
+/// a saturating `as i32` cast is a scalar `cvttss2si`; either one keeps a
+/// loop scalar. Instead the value is clamped first (`max` also sends NaN
+/// to 0) and rounded with the `2^23` bias, which rounds ties to even; a
+/// remainder of exactly one half is then bumped up, giving ties away from
+/// zero. The subtraction `c − e` is exact because `e` is within one half
+/// of `c`.
+///
+/// # Examples
+///
+/// ```
+/// use shmt_tensor::quant::round_code;
+///
+/// assert_eq!(round_code(2.5), 3.0);
+/// assert_eq!(round_code(3.5), 4.0);
+/// assert_eq!(round_code(-7.0), 0.0);
+/// assert_eq!(round_code(300.0), 255.0);
+/// assert!(round_code(-0.25).is_sign_negative());
+/// assert!(round_code(f32::NAN).is_nan());
+/// ```
+#[inline(always)]
+pub fn round_code(y: f32) -> f32 {
+    // Not `clamp`: that keeps a NaN, and `max` sending it to 0 is what
+    // lets the rest of the arithmetic run branch-free on every lane.
+    #[allow(clippy::manual_clamp)]
+    let c = y.max(0.0).min(255.0);
+    let e = (c + ROUND_BIAS) - ROUND_BIAS;
+    let q = if c - e >= 0.5 { e + 1.0 } else { e };
+    // Round-then-clamp kept the sign of `y` on (−0.5, −0.0]; above that
+    // interval the index is positive and the sign copy is a no-op.
+    if y > -0.5 {
+        q.copysign(y)
+    } else if y.is_nan() {
+        y + y
+    } else {
+        q
     }
 }
 
@@ -355,6 +454,211 @@ mod tests {
         qp.snap_slice(&mut snapped);
         let snap_per_elem: Vec<f32> = src.iter().map(|&v| qp.snap(v)).collect();
         assert_eq!(snapped, snap_per_elem);
+    }
+
+    /// The pre-vectorization per-element formulas, kept verbatim as the
+    /// references the float-only rounding must match bit for bit.
+    fn snap_slice_reference(qp: &QuantParams, values: &mut [f32]) {
+        let (lo, scale) = (qp.lo, qp.scale);
+        for v in values.iter_mut() {
+            let q = ((*v - lo) / scale).round().clamp(0.0, 255.0);
+            *v = lo + q * scale;
+        }
+    }
+
+    fn quantize_reference(qp: &QuantParams, x: f32) -> i8 {
+        let q = ((x - qp.lo) / qp.scale).round().clamp(0.0, 255.0);
+        (q - 128.0) as i8
+    }
+
+    fn snap_reference(qp: &QuantParams, x: f32) -> f32 {
+        let code = quantize_reference(qp, x);
+        qp.lo + (f32::from(code) + 128.0) * qp.scale
+    }
+
+    /// Grids covering `lo = ±0.0`, a negative-only range, ranges far from
+    /// zero, a sub-unit one, one whose scale overflows to infinity, and
+    /// one whose scale is subnormal.
+    fn sweep_grids() -> Vec<QuantParams> {
+        vec![
+            QuantParams::from_range(0.0, 255.0),
+            QuantParams::from_range(-0.0, 1.0),
+            QuantParams::from_range(-0.0, 300.0),
+            QuantParams::from_range(-40.0, -8.0),
+            QuantParams::from_range(-10.0, 30.0),
+            QuantParams::from_range(1e6, 1e6 + 1.0),
+            QuantParams::from_range(-1e-3, 2e-3),
+            QuantParams::from_range(-f32::MAX, f32::MAX),
+            QuantParams {
+                scale: 1e-40,
+                lo: -0.0,
+            },
+        ]
+    }
+
+    /// A strided sweep over all 2^32 bit patterns (NaNs, infinities and
+    /// subnormals included) plus hand-picked edge values.
+    fn sweep_values() -> Vec<f32> {
+        let mut values: Vec<f32> = (0..=u32::MAX).step_by(4093).map(f32::from_bits).collect();
+        values.extend([
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001), // signaling NaN
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x8000_0001),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        values
+    }
+
+    /// Grid-index positions `k + 0.5` and their neighbours one ulp away,
+    /// mapped back to input values for `qp`, plus the same offsets around
+    /// `-0.5` and `255.5` where the clamp and the sign restore meet.
+    fn halfway_values(qp: &QuantParams) -> Vec<f32> {
+        let mut values = Vec::new();
+        for k in -2..=257 {
+            let half = k as f32 + 0.5;
+            for y in [
+                half,
+                f32::from_bits(half.to_bits() + 1),
+                f32::from_bits(half.to_bits() - 1),
+            ] {
+                values.push(y);
+                values.push(qp.lo + y * qp.scale);
+            }
+        }
+        values.extend([-0.5f32, -0.499_999_97, -1e-30, -0.0, 0.499_999_97]);
+        values
+    }
+
+    fn bits_of(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn round_code_matches_round_then_clamp_bit_for_bit() {
+        let mut values = sweep_values();
+        for qp in sweep_grids() {
+            values.extend(halfway_values(&qp));
+        }
+        for y in values {
+            let want = y.round().clamp(0.0, 255.0);
+            assert_eq!(round_code(y).to_bits(), want.to_bits(), "y = {y:e}");
+        }
+    }
+
+    #[test]
+    fn snap_slice_and_snap_into_match_old_formulas_bit_for_bit() {
+        let values = sweep_values();
+        for qp in sweep_grids() {
+            let mut values = values.clone();
+            values.extend(halfway_values(&qp));
+
+            let mut bulk = values.clone();
+            qp.snap_slice(&mut bulk);
+            let mut reference = values.clone();
+            snap_slice_reference(&qp, &mut reference);
+            assert_eq!(bits_of(&bulk), bits_of(&reference), "snap_slice {qp:?}");
+
+            let mut into = vec![0.0; values.len()];
+            qp.snap_into(&values, &mut into);
+            let per_elem: Vec<f32> = values.iter().map(|&x| snap_reference(&qp, x)).collect();
+            assert_eq!(bits_of(&into), bits_of(&per_elem), "snap_into {qp:?}");
+            let current: Vec<f32> = values.iter().map(|&x| qp.snap(x)).collect();
+            assert_eq!(bits_of(&current), bits_of(&per_elem), "snap {qp:?}");
+            let round_trip: Vec<f32> = values
+                .iter()
+                .map(|&x| qp.dequantize(qp.quantize(x)))
+                .collect();
+            assert_eq!(
+                bits_of(&round_trip),
+                bits_of(&per_elem),
+                "round trip {qp:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn quantize_and_quantize_slice_match_old_formula() {
+        let values = sweep_values();
+        for qp in sweep_grids() {
+            let mut values = values.clone();
+            values.extend(halfway_values(&qp));
+            let want: Vec<i8> = values.iter().map(|&x| quantize_reference(&qp, x)).collect();
+            let per_elem: Vec<i8> = values.iter().map(|&x| qp.quantize(x)).collect();
+            assert_eq!(per_elem, want, "quantize {qp:?}");
+            let mut bulk = vec![0i8; values.len()];
+            qp.quantize_slice(&values, &mut bulk);
+            assert_eq!(bulk, want, "quantize_slice {qp:?}");
+        }
+    }
+
+    #[test]
+    fn native_round_matches_f32_round_on_its_domain() {
+        // The native-u8 input path rounds elements whose non-NaN range
+        // lies in [0, 255]: `round_code` there must equal `f32::round`,
+        // including on -0.0, NaN and at every halfway point.
+        let mut values = sweep_values();
+        for k in 0..=255 {
+            let half = k as f32 + 0.5;
+            values.extend([
+                half,
+                f32::from_bits(half.to_bits() + 1),
+                f32::from_bits(half.to_bits() - 1),
+                k as f32,
+            ]);
+        }
+        values.retain(|v| v.is_nan() || (-0.0..=255.0).contains(v));
+        for v in values {
+            assert_eq!(round_code(v).to_bits(), v.round().to_bits(), "v = {v:e}");
+        }
+    }
+
+    #[test]
+    fn snap_and_snap_slice_differ_only_on_nan_and_signed_zero() {
+        // Pinned semantics of the two paths; neither may change, since
+        // each one's bits are published output.
+        let qp = QuantParams::from_range(-2.0, 2.0);
+        let mid = -2.0 + 128.0 * qp.scale();
+        assert_eq!(qp.snap(f32::NAN), mid);
+        let mut v = [f32::NAN];
+        qp.snap_slice(&mut v);
+        assert!(v[0].is_nan());
+        let mut into = [0.0];
+        qp.snap_into(&[f32::NAN], &mut into);
+        assert_eq!(into[0], mid);
+
+        // With lo = -0.0, an input just below lo is grid index -0.0:
+        // snap_slice keeps the sign, snap (and snap_into) give +0.0.
+        let qp = QuantParams::from_range(-0.0, 1.0);
+        for x in [-1e-30f32, -1e-6] {
+            assert_eq!(qp.snap(x).to_bits(), 0.0f32.to_bits(), "snap {x}");
+            let mut v = [x];
+            qp.snap_slice(&mut v);
+            assert_eq!(v[0].to_bits(), (-0.0f32).to_bits(), "snap_slice {x}");
+            let mut into = [1.0];
+            qp.snap_into(&[x], &mut into);
+            assert_eq!(into[0].to_bits(), 0.0f32.to_bits(), "snap_into {x}");
+        }
+        // `-0.0 - -0.0` is `+0.0`, so lo itself is index +0.0 on both
+        // paths; with lo = +0.0 the index sign cannot reach the result.
+        for lo in [-0.0f32, 0.0] {
+            let qp = QuantParams::from_range(lo, 1.0);
+            let mut v = [lo, -1e-6];
+            qp.snap_slice(&mut v);
+            let want = if lo.is_sign_negative() {
+                [0.0, -0.0]
+            } else {
+                [0.0, 0.0]
+            };
+            assert_eq!(bits_of(&v), bits_of(&want), "lo = {lo:?}");
+        }
     }
 
     #[test]

@@ -293,11 +293,7 @@ impl Tensor {
     /// NaN elements are ignored; if every element is NaN the result is
     /// `(0.0, 0.0)`.
     pub fn min_max(&self) -> (f32, f32) {
-        let mut it = self.data.iter().copied().filter(|v| !v.is_nan());
-        match it.next() {
-            None => (0.0, 0.0),
-            Some(first) => it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))),
-        }
+        crate::scan::min_max(std::iter::once(self.as_slice())).unwrap_or((0.0, 0.0))
     }
 }
 
@@ -417,40 +413,20 @@ impl<'a> TensorView<'a> {
     /// Returns `None` for the range when every element is NaN, matching
     /// the `(0.0, 0.0)` convention of [`TensorView::min_max`] at the
     /// call site's discretion. The range is bit-identical to a separate
-    /// [`TensorView::min_max`] scan: the same elements are folded with
-    /// the same `min`/`max` calls in the same row-major order.
+    /// [`TensorView::min_max`] scan: both run the same lane-wise scan
+    /// over the same elements in the same row-major order. The scan reads
+    /// the fresh contiguous copy, which is still in cache.
     pub fn to_tensor_with_min_max(&self) -> (Tensor, Option<(f32, f32)>) {
-        let mut data = crate::arena::take_f32(self.len());
-        let mut range: Option<(f32, f32)> = None;
-        for r in 0..self.rows {
-            let row = self.row(r);
-            data.extend_from_slice(row);
-            for v in row.iter().copied().filter(|v| !v.is_nan()) {
-                range = Some(match range {
-                    None => (v, v),
-                    Some((lo, hi)) => (lo.min(v), hi.max(v)),
-                });
-            }
-        }
-        (
-            Tensor {
-                rows: self.rows,
-                cols: self.cols,
-                data,
-            },
-            range,
-        )
+        let copy = self.to_tensor();
+        let range = crate::scan::min_max(std::iter::once(copy.as_slice()));
+        (copy, range)
     }
 
     /// Minimum and maximum element values within the window.
     ///
     /// NaN elements are ignored; all-NaN windows yield `(0.0, 0.0)`.
     pub fn min_max(&self) -> (f32, f32) {
-        let mut it = self.iter().filter(|v| !v.is_nan());
-        match it.next() {
-            None => (0.0, 0.0),
-            Some(first) => it.fold((first, first), |(lo, hi), v| (lo.min(v), hi.max(v))),
-        }
+        crate::scan::min_max((0..self.rows).map(|r| self.row(r))).unwrap_or((0.0, 0.0))
     }
 }
 

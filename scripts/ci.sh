@@ -11,6 +11,25 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== zero-alloc stress loop =="
+# The warm-path zero-allocation contract must hold on every run, not on
+# most: how many executor claimants overlap depends on thread
+# interleaving, so one pass proves little. Run the counting-allocator
+# binary 200 times at each pool size.
+alloc_free=$(cargo test -p shmt-serve --test alloc_free --no-run 2>&1 |
+    sed -n 's/.*Executable tests\/alloc_free.rs (\(.*\))$/\1/p')
+[ -x "$alloc_free" ] || { echo "alloc_free test binary not found"; exit 1; }
+for threads in 1 2 8; do
+    for run in $(seq 1 200); do
+        SHMT_THREADS=$threads "$alloc_free" -q >/dev/null 2>&1 || {
+            echo "alloc_free failed on run $run of 200 with SHMT_THREADS=$threads"
+            SHMT_THREADS=$threads "$alloc_free" -q || true
+            exit 1
+        }
+    done
+    echo "alloc_free: 200/200 with SHMT_THREADS=$threads"
+done
+
 if cargo clippy --version >/dev/null 2>&1; then
     echo "== clippy (warnings are errors) =="
     cargo clippy -q --workspace --all-targets -- -D warnings
