@@ -36,7 +36,7 @@ use shmt::sampling::SamplingMethod;
 use shmt::sched::{GPU, TPU};
 use shmt::{FaultPlan, Platform, Policy, QawsAssignment, RuntimeConfig, Vop};
 use shmt_kernels::Benchmark;
-use shmt_serve::{FlightConfig, HealthConfig, Request, Server, ServerConfig, TelemetryConfig};
+use shmt_serve::{BreakerConfig, FlightConfig, Request, Server, ServerConfig, TelemetryConfig};
 use shmt_trace::json::{JsonValue, ObjectBuilder};
 use shmt_trace::openmetrics::Exposition;
 
@@ -169,9 +169,9 @@ fn gpu_ewma_under(case: Case, n: usize, partitions: usize, count: usize, faults:
         queue_capacity: 4,
         // Slowdowns are not strikes, but keep the breaker out of the
         // measurement entirely: this phase profiles throughput only.
-        health: HealthConfig {
+        health: BreakerConfig {
             enabled: false,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         },
         ..ServerConfig::default()
     });

@@ -13,10 +13,10 @@
 //!   quarantined TPU repel accuracy-sensitive traffic) pick the target
 //!   ([`ScoreWeights`]).
 //! - **Node-level circuit breaking** — availability failures quarantine
-//!   a node; a single-flight probe reintegrates it
-//!   ([`NodeBreakerConfig`]), the serve crate's device breaker lifted
-//!   one level up. Quarantine can stall but never stick, and the fleet
-//!   never masks its last capable node.
+//!   a node; a single-flight probe reintegrates it. This is the serve
+//!   crate's [`shmt_serve::Breaker`] indexed by node instead of device
+//!   ([`ClusterConfig::breaker`]). Quarantine can stall but never stick,
+//!   and the fleet never masks its last capable node.
 //! - **Budgeted retries** — bounded attempts with capped, deadline-aware
 //!   backoff ([`RetryConfig`]), each paid for from a cluster-wide token
 //!   bucket ([`RetryBudgetConfig`]) so retries cannot storm a degraded
@@ -36,14 +36,12 @@
 
 #![warn(missing_docs)]
 
-mod breaker;
 mod budget;
 mod error;
 pub mod loadgen;
 mod node;
 mod router;
 
-pub use breaker::{NodeBreakerConfig, NodeHealth};
 pub use budget::{BudgetStats, RetryBudgetConfig};
 pub use error::ClusterError;
 pub use node::{NodeConfig, NodeFaultPlan, SlowWindow};

@@ -8,10 +8,12 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use shmt::sched::TPU;
-use shmt_serve::{Priority, Request, Response, ServeError};
+use shmt_serve::{
+    Breaker, BreakerConfig, BreakerDelta, Priority, Request, Response, ServeError, UnitHealth,
+    Verdict,
+};
 use shmt_trace::{MetricsRegistry, Observatory};
 
-use crate::breaker::{FleetBreaker, NodeBreakerConfig, NodeHealth};
 use crate::budget::{BudgetStats, RetryBudget, RetryBudgetConfig};
 use crate::error::ClusterError;
 use crate::node::{ClusterNode, NodeConfig, NodeError, NodeTicket};
@@ -137,7 +139,7 @@ pub struct ClusterConfig {
     /// The fleet: one serving stack + fault plan per node.
     pub nodes: Vec<NodeConfig>,
     /// Node-level circuit breaker.
-    pub breaker: NodeBreakerConfig,
+    pub breaker: BreakerConfig,
     /// Cluster-wide retry budget.
     pub budget: RetryBudgetConfig,
     /// Tail-latency hedging.
@@ -161,7 +163,7 @@ impl ClusterConfig {
     pub fn with_nodes(n: usize) -> Self {
         ClusterConfig {
             nodes: (0..n.max(1)).map(|_| NodeConfig::default()).collect(),
-            breaker: NodeBreakerConfig::default(),
+            breaker: BreakerConfig::nodes(),
             budget: RetryBudgetConfig::default(),
             hedge: HedgeConfig::default(),
             retry: RetryConfig::default(),
@@ -252,7 +254,7 @@ pub struct ClusterResponse {
 
 /// Router-internal mutable policy state (breaker + budget), one mutex.
 struct RouterState {
-    breaker: FleetBreaker,
+    breaker: Breaker,
     budget: RetryBudget,
 }
 
@@ -310,7 +312,7 @@ impl ClusterRouter {
         for (id, nc) in node_configs.into_iter().enumerate() {
             nodes.push(ClusterNode::new(id, nc, epoch)?);
         }
-        let breaker = FleetBreaker::new(config.breaker, nodes.len());
+        let breaker = Breaker::new(config.breaker, nodes.len());
         Ok(ClusterRouter {
             nodes,
             epoch,
@@ -342,12 +344,11 @@ impl ClusterRouter {
     }
 
     /// Per-node breaker snapshots, indexed by node id.
-    pub fn node_health(&self) -> Vec<NodeHealth> {
-        self.state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .breaker
-            .snapshot()
+    pub fn node_health(&self) -> Vec<UnitHealth> {
+        let state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        (0..self.nodes.len())
+            .map(|id| state.breaker.health(id))
+            .collect()
     }
 
     /// Retry-budget accounting.
@@ -398,7 +399,7 @@ impl ClusterRouter {
     }
 
     /// One node's device-health snapshot (GPU, CPU, TPU breakers).
-    pub fn node_device_health(&self, id: usize) -> [shmt_serve::DeviceHealth; 3] {
+    pub fn node_device_health(&self, id: usize) -> [UnitHealth; 3] {
         self.nodes[id].server().device_health()
     }
 
@@ -649,24 +650,22 @@ impl ClusterRouter {
 
     /// Records one dispatch outcome against the breaker and the strike
     /// counters. Locks are taken one at a time.
-    fn note_outcome(&self, node: usize, ok: bool, was_probe: bool) {
+    fn note_outcome(&self, node: usize, verdict: Verdict, was_probe: bool) {
         let delta = self
             .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .breaker
-            .record(node, ok, was_probe);
-        if delta.strikes > 0 || delta.quarantines > 0 || delta.reintegrations > 0 {
-            let mut metrics = self.metrics.lock().unwrap_or_else(PoisonError::into_inner);
-            if delta.strikes > 0 {
-                metrics.add_counter("cluster.node_strike", delta.strikes as f64);
-            }
-            if delta.quarantines > 0 {
-                metrics.add_counter("cluster.node_quarantine", delta.quarantines as f64);
-            }
-            if delta.reintegrations > 0 {
-                metrics.add_counter("cluster.node_reintegrate", delta.reintegrations as f64);
-            }
+            .record(node, verdict, was_probe);
+        if delta != BreakerDelta::default() {
+            delta.apply(
+                &mut self.metrics.lock().unwrap_or_else(PoisonError::into_inner),
+                [
+                    "cluster.node_strike",
+                    "cluster.node_quarantine",
+                    "cluster.node_reintegrate",
+                ],
+            );
         }
     }
 
@@ -685,11 +684,13 @@ impl ClusterRouter {
     ) -> Result<ClusterResponse, ClusterError> {
         let deadline = opts.deadline.or(self.default_deadline);
         {
-            // One deposit and one quarantine-clock tick per routed
-            // request.
+            // One deposit and one quarantine-clock tick per node per
+            // routed request.
             let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             state.budget.deposit();
-            state.breaker.tick();
+            for id in 0..self.nodes.len() {
+                state.breaker.tick(id);
+            }
         }
         let mut excluded = vec![false; self.nodes.len()];
         let mut tries = 0usize;
@@ -721,13 +722,12 @@ impl ClusterRouter {
                     // the same pass — no budget charge until the whole
                     // pass fails.
                     if e.strikes_node() {
-                        self.note_outcome(node_id, false, is_probe);
+                        self.note_outcome(node_id, Verdict::Struck, is_probe);
                         self.count("cluster.node_unavailable");
-                    } else if is_probe {
-                        // A probe refused at admission gives no verdict.
-                        self.note_outcome(node_id, false, true);
-                        self.count("cluster.node_busy");
                     } else {
+                        // Overload is not unavailability: a probe refused
+                        // at admission is released without a verdict.
+                        self.note_outcome(node_id, Verdict::NoVerdict, is_probe);
                         self.count("cluster.node_busy");
                     }
                     excluded[node_id] = true;
@@ -884,7 +884,7 @@ impl ClusterRouter {
                 let node_id = ticket.node;
                 match ticket.poll(&self.nodes[node_id]) {
                     Some(Ok(response)) => {
-                        self.note_outcome(node_id, true, *is_probe);
+                        self.note_outcome(node_id, Verdict::Clean, *is_probe);
                         let hedge_won = *is_hedge;
                         // Abandon settles in-flight accounting for the
                         // losers; the winner's ticket already settled in
@@ -901,12 +901,14 @@ impl ClusterRouter {
                     }
                     Some(Err(e)) => {
                         if e.strikes_node() {
-                            self.note_outcome(node_id, false, *is_probe);
+                            self.note_outcome(node_id, Verdict::Struck, *is_probe);
                             if matches!(e, NodeError::ConnectionLost) {
                                 self.count("cluster.connection_lost");
                             }
-                        } else if *is_probe {
-                            self.note_outcome(node_id, false, true);
+                        } else {
+                            // A request-level serve error says nothing
+                            // about the node's availability.
+                            self.note_outcome(node_id, Verdict::NoVerdict, *is_probe);
                         }
                         if let NodeError::Serve(ServeError::Runtime(err)) = &e {
                             // A runtime rejection (bad configuration)
@@ -937,7 +939,7 @@ impl ClusterRouter {
                 // decide whether the deadline or budget allows another.
                 for (ticket, is_probe, _) in flights.drain(..) {
                     let node_id = ticket.node;
-                    self.note_outcome(node_id, false, is_probe);
+                    self.note_outcome(node_id, Verdict::Struck, is_probe);
                     self.count("cluster.attempt_timeout");
                     failed.push(node_id);
                     ticket.abandon(&self.nodes[node_id]);
@@ -1009,7 +1011,7 @@ impl ClusterRouter {
             }
             Err(e) => {
                 if e.strikes_node() {
-                    self.note_outcome(node_id, false, false);
+                    self.note_outcome(node_id, Verdict::Struck, false);
                 }
                 None
             }

@@ -7,12 +7,13 @@
 
 use std::time::{Duration, Instant};
 
+use shmt::ShmtError;
 use shmt_cluster::{
     ClusterConfig, ClusterError, ClusterRouter, HedgeConfig, NodeConfig, NodeFaultPlan,
     RetryBudgetConfig, RetryConfig, RouteOptions, ShedConfig,
 };
 use shmt_kernels::Benchmark;
-use shmt_serve::{Priority, ServerConfig};
+use shmt_serve::{Priority, ServeError, ServerConfig};
 
 use shmt_cluster::loadgen::RequestSpec;
 
@@ -353,4 +354,36 @@ fn a_flapping_node_is_quarantined_probed_and_reintegrated() {
         router.node_dispatched()[0] > 0,
         "the reintegrated node serves again"
     );
+}
+
+#[test]
+fn a_probe_failing_a_bad_request_gives_no_verdict() {
+    let mut cfg = config(nodes(2));
+    // Node 0 is down for the first 100 ms, then healthy again.
+    cfg.nodes[0] = cfg.nodes[0]
+        .clone()
+        .with_faults(NodeFaultPlan::none().with_down_window(0.0, 0.1));
+    cfg.breaker.quarantine_after = 1;
+    cfg.breaker.probe_after = 1;
+    let router = ClusterRouter::new(cfg);
+    let s = spec(1);
+    let resp = router
+        .route(RouteOptions::new(), &|| s.build())
+        .expect("the healthy node covers the down window");
+    assert_eq!(resp.node, 1);
+    assert!(router.node_health()[0].quarantined, "one strike trips it");
+    std::thread::sleep(Duration::from_millis(150));
+    // A request that fails on any node: the probe to the recovered node
+    // proves nothing about its availability.
+    let mut bad = spec(2);
+    bad.partitions = 0;
+    match router.route(RouteOptions::new(), &|| bad.build()) {
+        Err(ClusterError::Request(ServeError::Runtime(ShmtError::InvalidConfig(_)))) => {}
+        other => panic!("expected a terminal InvalidConfig, got {other:?}"),
+    }
+    let health = router.node_health()[0];
+    assert_eq!(health.probes, 1, "the bad request probed node 0");
+    assert!(!health.probe_inflight, "the probe was released");
+    assert_eq!(health.total_strikes, 1, "no verdict, no strike");
+    assert_eq!(router.metrics().counter("cluster.node_strike"), 1.0);
 }

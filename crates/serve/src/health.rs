@@ -1,68 +1,23 @@
-//! Per-device health: strike accounting, a quarantine circuit breaker,
-//! and probe-and-reintegrate.
+//! Per-device health: the device-mask rules around the shared
+//! [`Breaker`].
 //!
 //! The serving layer watches every completed request for evidence that a
 //! modeled device is misbehaving — a dropout recorded in the run's
 //! [`shmt::FaultReport`], or approximate output bad enough that the
-//! quality guard had to repair it. Evidence accumulates as *strikes*;
-//! enough **consecutive** strikes trip a circuit breaker that
-//! *quarantines* the device, masking it out of subsequent requests'
-//! device masks (requests still run, in degraded mode, on the remaining
-//! devices). After a configurable number of quarantined requests the
-//! tracker *probes*: one request re-admits the device, and a clean run
-//! reintegrates it while another strike re-arms the quarantine.
+//! quality guard had to repair it. Each such device is struck; a device
+//! the breaker quarantines is masked out of subsequent requests' device
+//! masks (requests still run, in degraded mode, on the remaining
+//! devices), and a due probe re-admits it for one request.
 //!
-//! The tracker never masks the last capable device — when every device a
-//! request asked for is quarantined, the request runs with its original
-//! mask (serving degraded beats not serving).
+//! Two rules are the serve layer's own. Only devices a request asked for
+//! take part: a quarantined device is first checked for a due probe, and
+//! only otherwise ticked and masked. And the tracker never masks the last
+//! capable device — when every device a request asked for is
+//! quarantined, the request runs with its original mask (serving
+//! degraded beats not serving).
 
+use crate::breaker::{Breaker, BreakerConfig, BreakerDelta, Verdict};
 use crate::server::DEVICES;
-
-/// Circuit-breaker tuning for [`crate::ServerConfig::health`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HealthConfig {
-    /// Master switch. Disabled, the tracker observes nothing and never
-    /// touches a request's device mask.
-    pub enabled: bool,
-    /// Consecutive strikes that trip the quarantine breaker.
-    pub quarantine_after: usize,
-    /// Requests served while a device sits quarantined before one request
-    /// is used to probe it.
-    pub probe_after: usize,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            enabled: true,
-            quarantine_after: 3,
-            probe_after: 4,
-        }
-    }
-}
-
-/// Public snapshot of one device's health, from [`crate::Server::device_health`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeviceHealth {
-    /// Whether the circuit breaker is currently open for this device.
-    pub quarantined: bool,
-    /// Strikes since the last clean run this device took part in.
-    pub consecutive_strikes: usize,
-    /// Strikes over the server's lifetime.
-    pub total_strikes: usize,
-    /// Times the breaker tripped.
-    pub quarantines: usize,
-    /// Probe requests dispatched to this device while quarantined.
-    pub probes: usize,
-    /// Probes that came back clean and closed the breaker.
-    pub reintegrations: usize,
-    /// A dispatched probe has not reported back yet. A probe that never
-    /// reports (its executor died, or the server shut down with the probe
-    /// still queued) is declared lost after `probe_after` further planned
-    /// requests and the breaker probes again — the quarantine can stall,
-    /// but never stick.
-    pub probe_inflight: bool,
-}
 
 /// What the tracker decided for one request before execution.
 #[derive(Debug, Clone, Copy)]
@@ -76,85 +31,44 @@ pub(crate) struct MaskDecision {
     pub masked_any: bool,
 }
 
-/// Health counter increments one outcome produced, applied to the metrics
-/// registry after the health lock drops (lock order: health is never held
-/// together with `state` or `metrics`).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct HealthDelta {
-    pub strikes: usize,
-    pub quarantines: usize,
-    pub reintegrations: usize,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    quarantined: bool,
-    /// A probe request is in flight; hold further probes until it lands.
-    probe_inflight: bool,
-    consecutive: usize,
-    /// Requests planned since the quarantine began (or since the last
-    /// probe); reaching `probe_after` releases the next probe.
-    since_quarantine: usize,
-    total_strikes: usize,
-    quarantines: usize,
-    probes: usize,
-    reintegrations: usize,
-}
-
-/// The mutable tracker behind the server's health mutex.
+/// The device breaker behind the server's health mutex.
 #[derive(Debug)]
 pub(crate) struct HealthTracker {
-    config: HealthConfig,
-    slots: [Slot; DEVICES],
+    breaker: Breaker,
 }
 
 impl HealthTracker {
-    pub(crate) fn new(config: HealthConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         HealthTracker {
-            config,
-            slots: [Slot::default(); DEVICES],
+            breaker: Breaker::new(config, DEVICES),
         }
     }
 
+    /// The per-device breaker state.
+    pub(crate) fn breaker(&self) -> &Breaker {
+        &self.breaker
+    }
+
     /// Decides the effective device mask for a request about to execute:
-    /// masks quarantined devices, releases due probes, and falls back to
-    /// the requested mask when quarantine would leave nothing enabled.
+    /// releases due probes, masks (and ticks) the other quarantined
+    /// devices, and falls back to the requested mask when quarantine
+    /// would leave nothing enabled.
     pub(crate) fn plan(&mut self, requested: [bool; DEVICES]) -> MaskDecision {
-        if !self.config.enabled {
-            return MaskDecision {
-                mask: requested,
-                probed: [false; DEVICES],
-                masked_any: false,
-            };
-        }
         let mut mask = requested;
         let mut probed = [false; DEVICES];
-        for (d, slot) in self.slots.iter_mut().enumerate() {
-            if !requested[d] || !slot.quarantined {
+        for d in 0..DEVICES {
+            if !requested[d] || self.breaker.routable(d) {
                 continue;
             }
-            if !slot.probe_inflight && slot.since_quarantine >= self.config.probe_after {
-                slot.probe_inflight = true;
-                slot.since_quarantine = 0;
-                slot.probes += 1;
+            if self.breaker.probe_ready(d) {
+                self.breaker.begin_probe(d);
                 probed[d] = true; // stays in the mask as a probe
             } else {
-                slot.since_quarantine += 1;
+                self.breaker.tick(d);
                 mask[d] = false;
-                if slot.probe_inflight && slot.since_quarantine >= self.config.probe_after.max(1) {
-                    // The in-flight probe never reported a verdict — its
-                    // executor is gone (shutdown raced the probe, or the
-                    // thread died). Declare it lost so the quarantine
-                    // clock keeps running and the next due request can
-                    // probe again; otherwise the breaker would stay open
-                    // forever with `probe_inflight` stuck.
-                    slot.probe_inflight = false;
-                }
             }
         }
         if !mask.iter().any(|&m| m) {
-            // Every requested device is quarantined: never mask the last
-            // capable device; run the request as asked, degraded.
             mask = requested;
         }
         MaskDecision {
@@ -164,7 +78,7 @@ impl HealthTracker {
         }
     }
 
-    /// Folds one request's outcome back into the tracker. `struck` is the
+    /// Folds one request's outcome back into the breaker. `struck` is the
     /// per-device fault attribution (`None` when the run failed for a
     /// reason no device can be blamed for — probes in flight are released
     /// without a verdict).
@@ -172,60 +86,23 @@ impl HealthTracker {
         &mut self,
         decision: &MaskDecision,
         struck: Option<[bool; DEVICES]>,
-    ) -> HealthDelta {
-        let mut delta = HealthDelta::default();
-        if !self.config.enabled {
-            return delta;
-        }
-        let Some(struck) = struck else {
-            for (d, slot) in self.slots.iter_mut().enumerate() {
-                if decision.probed[d] {
-                    slot.probe_inflight = false;
+    ) -> BreakerDelta {
+        let mut delta = BreakerDelta::default();
+        for d in 0..DEVICES {
+            let verdict = match struck {
+                None if decision.probed[d] => Verdict::NoVerdict,
+                Some(s) if decision.mask[d] => {
+                    if s[d] {
+                        Verdict::Struck
+                    } else {
+                        Verdict::Clean
+                    }
                 }
-            }
-            return delta;
-        };
-        for (d, slot) in self.slots.iter_mut().enumerate() {
-            if !decision.mask[d] {
-                continue;
-            }
-            if struck[d] {
-                slot.consecutive += 1;
-                slot.total_strikes += 1;
-                delta.strikes += 1;
-                if decision.probed[d] {
-                    // Failed probe: the breaker stays open, the probe
-                    // clock restarts.
-                    slot.probe_inflight = false;
-                } else if !slot.quarantined && slot.consecutive >= self.config.quarantine_after {
-                    slot.quarantined = true;
-                    slot.since_quarantine = 0;
-                    slot.quarantines += 1;
-                    delta.quarantines += 1;
-                }
-            } else {
-                slot.consecutive = 0;
-                if decision.probed[d] {
-                    slot.probe_inflight = false;
-                    slot.quarantined = false;
-                    slot.reintegrations += 1;
-                    delta.reintegrations += 1;
-                }
-            }
+                _ => continue,
+            };
+            delta += self.breaker.record(d, verdict, decision.probed[d]);
         }
         delta
-    }
-
-    pub(crate) fn snapshot(&self) -> [DeviceHealth; DEVICES] {
-        self.slots.map(|s| DeviceHealth {
-            quarantined: s.quarantined,
-            consecutive_strikes: s.consecutive,
-            total_strikes: s.total_strikes,
-            quarantines: s.quarantines,
-            probes: s.probes,
-            reintegrations: s.reintegrations,
-            probe_inflight: s.probe_inflight,
-        })
     }
 }
 
@@ -243,7 +120,7 @@ mod tests {
 
     #[test]
     fn consecutive_strikes_trip_the_breaker() {
-        let mut t = HealthTracker::new(HealthConfig::default());
+        let mut t = HealthTracker::new(BreakerConfig::devices());
         for i in 0..3 {
             let dec = t.plan(ALL);
             assert!(dec.mask[2], "device still admitted before trip {i}");
@@ -253,12 +130,11 @@ mod tests {
         assert!(!dec.mask[2], "quarantined device must be masked");
         assert!(dec.mask[0] && dec.mask[1]);
         assert!(dec.masked_any);
-        assert!(t.snapshot()[2].quarantined);
     }
 
     #[test]
     fn clean_runs_reset_the_streak() {
-        let mut t = HealthTracker::new(HealthConfig::default());
+        let mut t = HealthTracker::new(BreakerConfig::devices());
         for _ in 0..2 {
             let dec = t.plan(ALL);
             t.record(&dec, strikes_on(2));
@@ -267,15 +143,18 @@ mod tests {
         t.record(&dec, Some([false; DEVICES]));
         let dec = t.plan(ALL);
         t.record(&dec, strikes_on(2));
-        assert!(!t.snapshot()[2].quarantined, "streak must reset on clean");
+        assert!(
+            !t.breaker().health(2).quarantined,
+            "streak must reset on clean"
+        );
     }
 
     #[test]
     fn probe_reintegrates_after_a_clean_run() {
-        let cfg = HealthConfig {
+        let cfg = BreakerConfig {
             quarantine_after: 1,
             probe_after: 2,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         };
         let mut t = HealthTracker::new(cfg);
         let dec = t.plan(ALL);
@@ -290,17 +169,17 @@ mod tests {
         let dec = t.plan(ALL);
         assert!(dec.probed[2] && dec.mask[2], "due probe re-admits device");
         t.record(&dec, Some([false; DEVICES]));
-        let snap = t.snapshot()[2];
+        let snap = t.breaker().health(2);
         assert!(!snap.quarantined);
         assert_eq!(snap.reintegrations, 1);
     }
 
     #[test]
     fn failed_probe_keeps_the_breaker_open() {
-        let cfg = HealthConfig {
+        let cfg = BreakerConfig {
             quarantine_after: 1,
             probe_after: 1,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         };
         let mut t = HealthTracker::new(cfg);
         let dec = t.plan(ALL);
@@ -310,18 +189,64 @@ mod tests {
         let dec = t.plan(ALL);
         assert!(dec.probed[2]);
         t.record(&dec, strikes_on(2));
-        assert!(t.snapshot()[2].quarantined, "struck probe must not close");
+        assert!(
+            t.breaker().health(2).quarantined,
+            "struck probe must not close"
+        );
         // And the probe clock restarts rather than probing immediately.
         let dec = t.plan(ALL);
         assert!(!dec.mask[2] && !dec.probed[2]);
     }
 
     #[test]
+    fn lost_probe_is_released_and_the_device_probes_again() {
+        // A probe whose executor never reports back (shutdown raced the
+        // probe, or the thread died) must not leave the probe in flight
+        // forever: after `probe_after` further planned requests the
+        // probe is declared lost and the next request probes again.
+        let cfg = BreakerConfig {
+            quarantine_after: 1,
+            probe_after: 2,
+            ..BreakerConfig::devices()
+        };
+        let mut t = HealthTracker::new(cfg);
+        let dec = t.plan(ALL);
+        t.record(&dec, strikes_on(2));
+        for _ in 0..2 {
+            let dec = t.plan(ALL);
+            t.record(&dec, Some([false; DEVICES]));
+        }
+        let dec = t.plan(ALL);
+        assert!(dec.probed[2], "probe due");
+        assert!(t.breaker().health(2).probe_inflight);
+        // The probe's record() never arrives. Two more planned requests
+        // declare it lost...
+        for _ in 0..2 {
+            let dec = t.plan(ALL);
+            assert!(!dec.probed[2]);
+            t.record(&dec, Some([false; DEVICES]));
+        }
+        assert!(
+            !t.breaker().health(2).probe_inflight,
+            "lost probe must be released"
+        );
+        // ...and the next request probes again; a clean verdict closes
+        // the breaker as usual.
+        let dec = t.plan(ALL);
+        assert!(dec.probed[2], "breaker must probe again after a lost probe");
+        t.record(&dec, Some([false; DEVICES]));
+        let snap = t.breaker().health(2);
+        assert!(!snap.quarantined);
+        assert_eq!(snap.probes, 2);
+        assert_eq!(snap.reintegrations, 1);
+    }
+
+    #[test]
     fn never_masks_the_last_capable_device() {
-        let cfg = HealthConfig {
+        let cfg = BreakerConfig {
             quarantine_after: 1,
             probe_after: 100,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         };
         let mut t = HealthTracker::new(cfg);
         let only_tpu = [false, false, true];
@@ -334,10 +259,10 @@ mod tests {
 
     #[test]
     fn unattributable_failure_releases_probe_without_verdict() {
-        let cfg = HealthConfig {
+        let cfg = BreakerConfig {
             quarantine_after: 1,
             probe_after: 0,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         };
         let mut t = HealthTracker::new(cfg);
         let dec = t.plan(ALL);
@@ -345,67 +270,58 @@ mod tests {
         let dec = t.plan(ALL);
         assert!(dec.probed[2]);
         t.record(&dec, None);
-        let snap = t.snapshot()[2];
+        let snap = t.breaker().health(2);
         assert!(snap.quarantined);
         assert_eq!(snap.total_strikes, 1, "no verdict, no strike");
     }
 
     #[test]
-    fn lost_probe_is_released_and_the_device_probes_again() {
-        // A probe whose executor never reports back (shutdown raced the
-        // probe, or the thread died) must not leave `probe_inflight`
-        // stuck forever: after `probe_after` further planned requests the
-        // probe is declared lost and the next request probes again.
-        let cfg = HealthConfig {
+    fn struck_probe_restarts_the_clock_after_requests_planned_in_flight() {
+        let cfg = BreakerConfig {
             quarantine_after: 1,
-            probe_after: 2,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         };
+        let probe_after = cfg.probe_after;
         let mut t = HealthTracker::new(cfg);
         let dec = t.plan(ALL);
         t.record(&dec, strikes_on(2));
-        for _ in 0..2 {
+        let probe = loop {
             let dec = t.plan(ALL);
+            if dec.probed[2] {
+                break dec;
+            }
+            t.record(&dec, Some([false; DEVICES]));
+        };
+        // Other executors plan three requests while the probe runs.
+        for _ in 0..3 {
+            let dec = t.plan(ALL);
+            assert!(!dec.mask[2] && !dec.probed[2]);
             t.record(&dec, Some([false; DEVICES]));
         }
-        let dec = t.plan(ALL);
-        assert!(dec.probed[2], "probe due");
-        assert!(t.snapshot()[2].probe_inflight);
-        // The probe's record() never arrives. Two more planned requests
-        // declare it lost...
-        for _ in 0..2 {
+        t.record(&probe, strikes_on(2));
+        for i in 0..probe_after {
             let dec = t.plan(ALL);
-            assert!(!dec.probed[2]);
+            assert!(
+                !dec.probed[2],
+                "probe released {i} requests after the verdict"
+            );
             t.record(&dec, Some([false; DEVICES]));
         }
-        assert!(
-            !t.snapshot()[2].probe_inflight,
-            "lost probe must be released"
-        );
-        // ...and the next request probes again; a clean verdict closes
-        // the breaker as usual.
-        let dec = t.plan(ALL);
-        assert!(dec.probed[2], "breaker must probe again after a lost probe");
-        t.record(&dec, Some([false; DEVICES]));
-        let snap = t.snapshot()[2];
-        assert!(!snap.quarantined);
-        assert_eq!(snap.probes, 2);
-        assert_eq!(snap.reintegrations, 1);
+        assert!(t.plan(ALL).probed[2], "and then the clock runs out");
     }
 
     #[test]
     fn disabled_tracker_is_inert() {
-        let cfg = HealthConfig {
+        let cfg = BreakerConfig {
             enabled: false,
-            ..HealthConfig::default()
+            ..BreakerConfig::devices()
         };
         let mut t = HealthTracker::new(cfg);
         for _ in 0..10 {
             let dec = t.plan(ALL);
             assert_eq!(dec.mask, ALL);
-            let delta = t.record(&dec, strikes_on(2));
-            assert_eq!(delta.strikes, 0);
+            assert!(!dec.masked_any);
+            t.record(&dec, strikes_on(2));
         }
-        assert_eq!(t.snapshot()[2], DeviceHealth::default());
     }
 }

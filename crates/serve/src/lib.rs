@@ -42,10 +42,11 @@
 //!   output. Every [`Response`] says whether it was produced
 //!   [`Response::degraded`].
 //! * **Device health** — completed requests feed a per-device circuit
-//!   breaker ([`HealthConfig`]): repeated dropouts or guard repairs
+//!   [`Breaker`] ([`BreakerConfig`]): repeated dropouts or guard repairs
 //!   quarantine a device, quarantined devices are masked out of incoming
 //!   requests (never the last one), and periodic probes reintegrate a
-//!   device once it runs clean ([`Server::device_health`]).
+//!   device once it runs clean ([`Server::device_health`]). The same
+//!   breaker, indexed by node, guards the cluster router's fleet.
 //! * **QoS classes** — every request carries a [`Priority`]
 //!   (`Interactive`, `Batch` — the default — or `BestEffort`); the
 //!   admission queue is drained by priority-weighted stride scheduling,
@@ -84,15 +85,16 @@
 
 #![warn(missing_docs)]
 
+mod breaker;
 mod error;
 mod flight;
 mod health;
 mod server;
 mod stats;
 
+pub use breaker::{Breaker, BreakerConfig, BreakerDelta, UnitHealth, Verdict};
 pub use error::{ServeError, SubmitError};
 pub use flight::{Anomaly, FlightConfig, FlightRecord, FlightRecorder};
-pub use health::{DeviceHealth, HealthConfig};
 pub use server::{
     Payload, Priority, Request, Response, Server, ServerConfig, TelemetryConfig, Ticket,
 };

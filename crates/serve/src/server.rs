@@ -13,9 +13,10 @@ use shmt::{
 };
 use shmt_trace::{MetricsRegistry, Observatory};
 
+use crate::breaker::{BreakerConfig, UnitHealth};
 use crate::error::{ServeError, SubmitError};
 use crate::flight::{Anomaly, FlightConfig, FlightRecord, FlightRecorder};
-use crate::health::{DeviceHealth, HealthConfig, HealthTracker};
+use crate::health::HealthTracker;
 use crate::stats::{ClassSummary, PolicySummary, Sample, SampleStore};
 
 /// Number of modeled devices (GPU, CPU, Edge TPU) — the width of every
@@ -306,7 +307,7 @@ pub struct ServerConfig {
     /// Deadline applied to requests that do not set their own.
     pub default_deadline: Option<Duration>,
     /// Device-health circuit breaker (strike thresholds, probe cadence).
-    pub health: HealthConfig,
+    pub health: BreakerConfig,
     /// Continuous-telemetry switches (observatory, flight recorder,
     /// gauge cap).
     pub telemetry: TelemetryConfig,
@@ -325,7 +326,7 @@ impl Default for ServerConfig {
             executors: 2,
             queue_capacity: 8,
             default_deadline: None,
-            health: HealthConfig::default(),
+            health: BreakerConfig::devices(),
             telemetry: TelemetryConfig::default(),
             adapt: AdaptiveConfig::default(),
         }
@@ -723,13 +724,7 @@ impl Server {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         obs.merge_registry(&metrics);
-        let health = self
-            .shared
-            .health
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .snapshot();
-        for (d, h) in health.iter().enumerate() {
+        for (d, h) in self.device_health().iter().enumerate() {
             obs.set_quarantined(d, h.quarantined);
         }
         obs
@@ -764,12 +759,13 @@ impl Server {
 
     /// Snapshot of the per-device health breaker state, indexed by the
     /// runtime's device order (GPU, CPU, Edge TPU).
-    pub fn device_health(&self) -> [DeviceHealth; DEVICES] {
-        self.shared
+    pub fn device_health(&self) -> [UnitHealth; DEVICES] {
+        let health = self
+            .shared
             .health
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .snapshot()
+            .unwrap_or_else(PoisonError::into_inner);
+        std::array::from_fn(|d| health.breaker().health(d))
     }
 
     /// Queue-wait and service-time percentile summaries, one per
@@ -1056,22 +1052,14 @@ fn executor_loop(shared: &Shared) {
             }
             Err(_) => None,
         };
-        let delta = shared
-            .health
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(&decision, struck);
-        let quarantined = {
-            let snapshot = shared
-                .health
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .snapshot();
-            let mut q = [false; DEVICES];
-            for (d, h) in snapshot.iter().enumerate() {
-                q[d] = h.quarantined;
-            }
-            q
+        // One lock for the verdict and the flags read back, so the flight
+        // record's quarantine state matches the delta's quarantines.
+        let (delta, quarantined) = {
+            let mut health = shared.health.lock().unwrap_or_else(PoisonError::into_inner);
+            let delta = health.record(&decision, struck);
+            let quarantined: [bool; DEVICES] =
+                std::array::from_fn(|d| health.breaker().health(d).quarantined);
+            (delta, quarantined)
         };
 
         // Continuous telemetry: feed the observatory from the completed
@@ -1156,15 +1144,10 @@ fn executor_loop(shared: &Shared) {
             .metrics
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        if delta.strikes > 0 {
-            metrics.add_counter("health.strike", delta.strikes as f64);
-        }
-        if delta.quarantines > 0 {
-            metrics.add_counter("health.quarantine", delta.quarantines as f64);
-        }
-        if delta.reintegrations > 0 {
-            metrics.add_counter("health.reintegrate", delta.reintegrations as f64);
-        }
+        delta.apply(
+            &mut metrics,
+            ["health.strike", "health.quarantine", "health.reintegrate"],
+        );
         if adapted {
             metrics.add_counter("serve.adapted", 1.0);
         }

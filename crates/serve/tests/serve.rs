@@ -10,7 +10,7 @@ use shmt::sched::{GPU, TPU};
 use shmt::{AdaptiveConfig, FaultPlan, Platform, Policy, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_kernels::Benchmark;
 use shmt_serve::{
-    Anomaly, HealthConfig, Priority, Request, ServeError, Server, ServerConfig, SubmitError,
+    Anomaly, BreakerConfig, Priority, Request, ServeError, Server, ServerConfig, SubmitError,
 };
 
 fn request(b: Benchmark, n: usize, seed: u64, policy: Policy) -> Request {
@@ -255,7 +255,7 @@ fn repeated_dropouts_quarantine_probe_and_reintegrate() {
     let server = Server::new(ServerConfig {
         executors: 1,
         queue_capacity: 4,
-        health: HealthConfig {
+        health: BreakerConfig {
             enabled: true,
             quarantine_after: 2,
             probe_after: 1,
@@ -513,7 +513,7 @@ fn probe_racing_shutdown_resolves_typed_without_sticking_quarantine() {
     let mut server = Server::new(ServerConfig {
         executors: 1,
         queue_capacity: 4,
-        health: HealthConfig {
+        health: BreakerConfig {
             enabled: true,
             quarantine_after: 1,
             probe_after: 1,

@@ -11,6 +11,13 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== perfbench (separate workspace) =="
+# The routed end-to-end benchmark is its own cargo workspace with path
+# dependencies on crates/*, so the workspace build above never compiles
+# it: build and test it here so API changes cannot break it unnoticed.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== zero-alloc stress loop =="
 # The warm-path zero-allocation contract must hold on every run, not on
 # most: how many executor claimants overlap depends on thread

@@ -12,7 +12,7 @@ use shmt::sampling::SamplingMethod;
 use shmt::sched::{GPU, TPU};
 use shmt::{FaultPlan, Platform, Policy, QawsAssignment, RuntimeConfig, ShmtRuntime, Vop};
 use shmt_kernels::Benchmark;
-use shmt_serve::{FlightConfig, HealthConfig, Request, Server, ServerConfig, TelemetryConfig};
+use shmt_serve::{BreakerConfig, FlightConfig, Request, Server, ServerConfig, TelemetryConfig};
 use shmt_trace::openmetrics::Exposition;
 use shmt_trace::{Histogram, Observatory};
 
@@ -221,9 +221,9 @@ fn ewma_profiles_converge_to_an_injected_slowdown() {
         let server = Server::new(ServerConfig {
             executors: 1,
             queue_capacity: 4,
-            health: HealthConfig {
+            health: BreakerConfig {
                 enabled: false,
-                ..HealthConfig::default()
+                ..BreakerConfig::devices()
             },
             ..ServerConfig::default()
         });
