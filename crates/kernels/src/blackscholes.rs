@@ -33,38 +33,72 @@ impl Default for Blackscholes {
     }
 }
 
-/// Spot-independent subexpressions of the pricing formula, computed once
-/// per tile instead of once per element. Each field is built by the exact
-/// expression the scalar path uses, so hoisting changes no output bit.
-struct PriceConsts {
+/// Number of memo slots in a [`Pricer`]: a power of two, so the slot is
+/// the low bits of the key.
+const MEMO_SLOTS: usize = 8;
+
+/// Prices spots one after another with the spot-independent
+/// subexpressions hoisted and the transcendental legs memoized.
+///
+/// The strike is `k = s · strike_ratio`, so `d1`, `d2`, `cnd(d1)` and
+/// `cnd(d2)` depend on the spot only through `q = s / k`: equal `q` bits
+/// give equal legs, bit for bit. Only `s · cnd(d1) − k · discount ·
+/// cnd(d2)` needs the spot itself. `fl(s / fl(s · r))` takes a handful of
+/// bit patterns for any ratio `r` (three over a 1024² dataset), so the
+/// `ln` and both `exp`s run a handful of times per tile instead of once
+/// per element. A miss recomputes, so no input changes an output bit;
+/// adversarial spots only cost speed.
+struct Pricer {
+    strike_ratio: f32,
     drift: f32,
     vol_sqrt_t: f32,
     discount: f32,
+    /// Direct-mapped on the low bits of `q.to_bits()`: the `q` bits last
+    /// seen in the slot and their `(cnd(d1), cnd(d2))`. `None` until
+    /// filled — every bit pattern is a valid key, NaNs included.
+    memo: [Option<(u32, f32, f32)>; MEMO_SLOTS],
+}
+
+impl Pricer {
+    fn price(&mut self, s: f32) -> f32 {
+        let s = s.max(1e-6);
+        let k = s * self.strike_ratio;
+        // `q` is not folded to the constant `1 / strike_ratio`, which
+        // would change the float result; its bits key the memo instead.
+        let q = s / k;
+        let key = q.to_bits();
+        let slot = &mut self.memo[key as usize % MEMO_SLOTS];
+        let (c1, c2) = match *slot {
+            Some((seen, c1, c2)) if seen == key => (c1, c2),
+            _ => {
+                let d1 = (q.ln() + self.drift) / self.vol_sqrt_t;
+                let d2 = d1 - self.vol_sqrt_t;
+                let (c1, c2) = (cnd(d1), cnd(d2));
+                *slot = Some((key, c1, c2));
+                (c1, c2)
+            }
+        };
+        s * c1 - k * self.discount * c2
+    }
 }
 
 impl Blackscholes {
     /// Prices a single call option at spot `s`.
     pub fn price(&self, s: f32) -> f32 {
-        self.price_with(&self.consts(), s)
+        self.pricer().price(s)
     }
 
-    fn consts(&self) -> PriceConsts {
+    /// A fresh [`Pricer`]. Each hoisted field is built by the expression
+    /// the per-element formula uses, so hoisting changes no output bit.
+    fn pricer(&self) -> Pricer {
         let sqrt_t = self.expiry.sqrt();
-        PriceConsts {
+        Pricer {
+            strike_ratio: self.strike_ratio,
             drift: (self.rate + 0.5 * self.volatility * self.volatility) * self.expiry,
             vol_sqrt_t: self.volatility * sqrt_t,
             discount: (-self.rate * self.expiry).exp(),
+            memo: [None; MEMO_SLOTS],
         }
-    }
-
-    fn price_with(&self, pc: &PriceConsts, s: f32) -> f32 {
-        let s = s.max(1e-6);
-        let k = s * self.strike_ratio;
-        // `(s / k).ln()` stays per-element: k is proportional to s, but
-        // folding the ratio to a constant would change the float result.
-        let d1 = ((s / k).ln() + pc.drift) / pc.vol_sqrt_t;
-        let d2 = d1 - pc.vol_sqrt_t;
-        s * cnd(d1) - k * pc.discount * cnd(d2)
     }
 }
 
@@ -98,12 +132,12 @@ impl Kernel for Blackscholes {
 
     fn run_exact(&self, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
         let input = inputs[0];
-        let pc = self.consts();
+        let mut pricer = self.pricer();
         for r in tile.row0..tile.row0 + tile.rows {
             let src = &input.row(r)[tile.col0..tile.col0 + tile.cols];
             let dst = &mut out.row_mut(r)[tile.col0..tile.col0 + tile.cols];
             for (d, &s) in dst.iter_mut().zip(src) {
-                *d = self.price_with(&pc, s);
+                *d = pricer.price(s);
             }
         }
     }

@@ -524,6 +524,11 @@ pub fn gemm() -> Naive<Gemm> {
 /// Naive Black-Scholes reference: the full pricing formula re-evaluated
 /// per element, nothing hoisted.
 pub fn blackscholes() -> Naive<Blackscholes> {
+    blackscholes_with(Blackscholes::default())
+}
+
+/// [`blackscholes`] with the pricing parameters of `inner`.
+pub fn blackscholes_with(inner: Blackscholes) -> Naive<Blackscholes> {
     fn run(k: &Blackscholes, inputs: &[&Tensor], tile: Tile, out: &mut Tensor) {
         let input = inputs[0];
         for r in tile.row0..tile.row0 + tile.rows {
@@ -542,7 +547,7 @@ pub fn blackscholes() -> Naive<Blackscholes> {
         }
     }
     Naive {
-        inner: Blackscholes::default(),
+        inner,
         run,
         quant: None,
         custom_npu: None,

@@ -198,3 +198,94 @@ fn interior_only_tile_matches_reference() {
         assert!(got.as_slice() == want.as_slice(), "{b:?} interior tile");
     }
 }
+
+/// Bit patterns of a tensor, so NaN outputs compare equal to themselves
+/// and `±0` do not.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Spots whose `q = s / k` take more distinct bit patterns than a small
+/// direct-mapped memo has slots, all sharing their low 8 bits, repeated
+/// in a cycle so every lookup evicts the previous entry. A strike ratio
+/// below the smallest normal f32 makes `k = s · ratio` subnormal, which
+/// is what spreads `q` over many patterns.
+fn evicting_spots(strike_ratio: f32, len: usize) -> Vec<f32> {
+    let mut picked: Vec<(u32, f32)> = Vec::new();
+    let mut s = 1e-6_f32;
+    while picked.len() < 24 && s < 1.0 {
+        let q = (s / (s * strike_ratio)).to_bits();
+        let fresh = picked.iter().all(|&(seen, _)| seen != q);
+        if fresh
+            && picked
+                .first()
+                .map_or(true, |&(q0, _)| q & 0xff == q0 & 0xff)
+        {
+            picked.push((q, s));
+        }
+        s *= 1.000_37;
+    }
+    assert!(
+        picked.len() > 8,
+        "only {} colliding q patterns",
+        picked.len()
+    );
+    (0..len).map(|i| picked[i % picked.len()].1).collect()
+}
+
+#[test]
+fn blackscholes_adversarial_inputs_match_reference_bit_for_bit() {
+    use shmt_kernels::blackscholes::Blackscholes;
+    use shmt_kernels::reference::blackscholes_with;
+    // Every 4093rd f32 bit pattern: NaNs, ±inf, ±0, subnormals and
+    // negatives. The index wraps past u32::MAX to fill the last row.
+    let (rows, cols) = (1025, 1024);
+    let sweep = Tensor::from_fn(rows, cols, |r, c| {
+        f32::from_bits(((r * cols + c) as u32).wrapping_mul(4093))
+    });
+    // The eviction rows need a ratio that makes `k` subnormal, which puts
+    // `ln q` near 87. A rate of -87 cancels that, so neither leg
+    // saturates and `k · discount` stays comparable to the spot: the
+    // price then depends on both memoized legs.
+    let evictor = Blackscholes {
+        strike_ratio: 1e-38,
+        rate: -87.0,
+        volatility: 1.0,
+        expiry: 1.0,
+    };
+    let evict = Tensor::from_vec(4, 96, evicting_spots(evictor.strike_ratio, 4 * 96)).unwrap();
+    let mut kernels = vec![Blackscholes::default(), evictor];
+    for strike_ratio in [0.5, 1.0, 1.05, 3.7] {
+        kernels.push(Blackscholes {
+            strike_ratio,
+            expiry: 0.25,
+            volatility: 0.8,
+            ..Blackscholes::default()
+        });
+    }
+    for k in kernels {
+        let naive = blackscholes_with(k);
+        // The million-element sweep runs as one tile; the short eviction
+        // rows also run split, so each tile gets its own NPU grid.
+        let evict_plans = vec![full_plan(4, 96), split_plan(k.shape(), 4, 96)];
+        for (input, plans) in [(&sweep, vec![full_plan(rows, cols)]), (&evict, evict_plans)] {
+            let refs = [input];
+            for (i, plan) in plans.iter().enumerate() {
+                for npu in [false, true] {
+                    let got = run_plan(&k, &refs, plan, npu);
+                    let want = run_plan(&naive, &refs, plan, npu);
+                    assert!(bits(&got) == bits(&want), "{k:?} npu={npu} diverges");
+                    if !npu && i == 0 {
+                        for (&s, &p) in input.as_slice().iter().zip(got.as_slice()) {
+                            assert_eq!(
+                                k.price(s).to_bits(),
+                                p.to_bits(),
+                                "{k:?} price({s:e}) differs from run_exact"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

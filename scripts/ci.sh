@@ -11,6 +11,12 @@ cargo build --release --workspace --all-targets
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== kernel bit-identity suites (release) =="
+# perf_report, perfbench and every BENCH_* number come from optimized
+# code, so the golden, property and NPU-page suites must also hold
+# there, not only in the debug build above.
+cargo test --release -q -p shmt-kernels
+
 echo "== perfbench (separate workspace) =="
 # The routed end-to-end benchmark is its own cargo workspace with path
 # dependencies on crates/*, so the workspace build above never compiles
